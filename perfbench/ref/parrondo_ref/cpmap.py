@@ -1,0 +1,180 @@
+"""Density-operator evolution of the mixed game on the coin-capital space.
+
+The strategy register is discarded: each step applies the coin a or the
+capital-conditioned pair b0/b1 with probability 1/2 each, then the
+conditional shift, as one completely positive trace-preserving map
+
+    rho' = S [ (A rho A' + B rho B') / 2 ] S'
+
+with B block-diagonal over capitals, b(x) = b0 when 3 | x else b1.  The
+state is stored as 2x2 coin blocks rho_{xy} over capital pairs, so the
+map acts blockwise and the shift is a pure index displacement.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .gates import CoinSet, not_gate
+from .walk import LatticeOverflowError
+
+
+@dataclass(frozen=True)
+class DensityState:
+    """Coin blocks rho_{xy} indexed (x, y, i, j), x = index - offset."""
+
+    blocks: np.ndarray
+    offset: int
+    step: int = 0
+
+    def __post_init__(self):
+        blocks = np.ascontiguousarray(self.blocks, dtype=complex)
+        n = 2 * self.offset + 1
+        if blocks.shape != (n, n, 2, 2):
+            raise ValueError(f"block shape {blocks.shape} does not match "
+                             f"offset {self.offset}")
+        blocks.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def xs(self) -> np.ndarray:
+        return np.arange(-self.offset, self.offset + 1)
+
+
+def init_density(c: int, initial_capital: int = 0,
+                 steps_budget: int = 0) -> DensityState:
+    """Pure product state |c><c| (x) |x0><x0|."""
+    if c not in (0, 1):
+        raise ValueError("c must be a bit")
+    if steps_budget < 0:
+        raise ValueError("steps_budget must be >= 0")
+    half = abs(initial_capital) + steps_budget
+    n = 2 * half + 1
+    blocks = np.zeros((n, n, 2, 2), dtype=complex)
+    blocks[initial_capital + half, initial_capital + half, c, c] = 1.0
+    return DensityState(blocks, half, 0)
+
+
+def _site_coins(coins: CoinSet, xs: np.ndarray) -> np.ndarray:
+    """Entries b(x)_ik laid out (i, k, x)."""
+    mask0 = xs % 3 == 0
+    return np.where(mask0, coins.b0[:, :, None], coins.b1[:, :, None])
+
+
+def _sandwich(r: np.ndarray, left: np.ndarray,
+              right: np.ndarray) -> list[list[np.ndarray]]:
+    """Coin planes of L r R' written out componentwise.
+
+    r[i, j] is the (x, y) plane of coin entry ij; left[i, k] = L_ik and
+    right[j, l] = conj(R_jl) are scalars or arrays broadcasting over that
+    plane, so a capital-conditioned coin enters as a column on the left
+    (varying with x) and as a row on the right (varying with y).
+    """
+    lr = [[left[i, 0] * r[0, l] + left[i, 1] * r[1, l] for l in (0, 1)]
+          for i in (0, 1)]
+    return [[lr[i][0] * right[j, 0] + lr[i][1] * right[j, 1]
+             for j in (0, 1)] for i in (0, 1)]
+
+
+def step_density(rho: DensityState, coins: CoinSet) -> DensityState:
+    """One application of the mixed-coin map followed by the shift."""
+    r = rho.blocks.transpose(2, 3, 0, 1)
+    bs = _site_coins(coins, rho.xs)
+    # a rho_xy a' and b(x) rho_xy b(y)', as explicit 2x2 arithmetic on
+    # whole planes: stacked 2x2 matmuls are several times slower
+    a_side = _sandwich(r, coins.a, coins.a.conj())
+    b_side = _sandwich(r, bs[:, :, :, None], bs.conj()[:, :, None, :])
+    mixed = np.empty(r.shape, dtype=complex)
+    for i in (0, 1):
+        for j in (0, 1):
+            np.add(a_side[i][j], b_side[i][j], out=mixed[i, j])
+    mixed *= 0.5
+    # coin value 0 moves the capital down, 1 up; anything at the edge in
+    # the direction of motion has nowhere to go
+    if (np.any(mixed[0, :, 0, :]) or np.any(mixed[1, :, -1, :]) or
+            np.any(mixed[:, 0, :, 0]) or np.any(mixed[:, 1, :, -1])):
+        raise LatticeOverflowError("density reached the lattice edge; "
+                                   "enlarge the steps budget")
+    out = np.zeros_like(rho.blocks)
+    out[:-1, :-1, 0, 0] = mixed[0, 0, 1:, 1:]
+    out[:-1, 1:, 0, 1] = mixed[0, 1, 1:, :-1]
+    out[1:, :-1, 1, 0] = mixed[1, 0, :-1, 1:]
+    out[1:, 1:, 1, 1] = mixed[1, 1, :-1, :-1]
+    return DensityState(out, rho.offset, rho.step + 1)
+
+
+def position_populations(rho: DensityState) -> np.ndarray:
+    return np.real(np.einsum("xxii->x", rho.blocks))
+
+
+def expected_capital_density(rho: DensityState) -> float:
+    return float(rho.xs @ position_populations(rho))
+
+
+def second_moment_density(rho: DensityState) -> float:
+    xs = rho.xs
+    return float((xs * xs) @ position_populations(rho))
+
+
+def swap_conjugate(rho: DensityState) -> DensityState:
+    """Conjugate the coin factor by the NOT gate: (X (x) 1) rho (X (x) 1)."""
+    x = not_gate()
+    blocks = np.einsum("ik,xykl,jl->xyij", x, rho.blocks, x.conj())
+    return DensityState(blocks, rho.offset, rho.step)
+
+
+# --- pure-state helpers shared with the measurement module -------------------
+
+def coin_step_pure(psi: np.ndarray, coin: np.ndarray) -> np.ndarray:
+    return coin @ psi
+
+
+def b_step_pure(psi: np.ndarray, coins: CoinSet,
+                mask0: np.ndarray) -> np.ndarray:
+    out = np.empty_like(psi)
+    out[:, mask0] = coins.b0 @ psi[:, mask0]
+    out[:, ~mask0] = coins.b1 @ psi[:, ~mask0]
+    return out
+
+
+def shift_pure(psi: np.ndarray) -> np.ndarray:
+    if psi[0, 0] != 0.0 or psi[1, -1] != 0.0:
+        raise LatticeOverflowError("amplitude at the lattice edge would "
+                                   "shift off the allocated range")
+    out = np.zeros_like(psi)
+    out[0, :-1] = psi[0, 1:]
+    out[1, 1:] = psi[1, :-1]
+    return out
+
+
+def sample_unitary_trajectory(coins: CoinSet, c: int, steps: int,
+                              rng_seed: int = 0) -> np.ndarray:
+    """One random-unitary unravelling of the map, starting at capital 0.
+
+    Each step draws A or the capital-conditioned B with probability 1/2
+    and applies it unitarily.  Returns rows (expected capital, second
+    moment) for n = 0 .. steps; averaging rows over seeds reproduces the
+    exact density evolution.
+    """
+    if c not in (0, 1):
+        raise ValueError("c must be a bit")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    rng = np.random.default_rng(rng_seed)
+    half = steps
+    xs = np.arange(-half, half + 1)
+    mask0 = xs % 3 == 0
+    psi = np.zeros((2, 2 * half + 1), dtype=complex)
+    psi[c, half] = 1.0
+    path = np.empty((steps + 1, 2))
+    path[0] = 0.0, 0.0
+    for n in range(1, steps + 1):
+        if rng.random() < 0.5:
+            psi = coin_step_pure(psi, coins.a)
+        else:
+            psi = b_step_pure(psi, coins, mask0)
+        psi = shift_pure(psi)
+        probs = np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2
+        path[n] = xs @ probs, (xs * xs) @ probs
+    return path
