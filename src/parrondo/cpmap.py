@@ -9,6 +9,11 @@ conditional shift, as one completely positive trace-preserving map
 with B block-diagonal over capitals, b(x) = b0 when 3 | x else b1.  The
 state is stored as 2x2 coin blocks rho_{xy} over capital pairs, so the
 map acts blockwise and the shift is a pure index displacement.
+
+The dense state costs O(steps^2) memory and a run O(steps^3) time;
+`capital_moments` computes the capital's first two moments exactly from
+O(steps) numbers, and the dense evolution stays as the reference for the
+full blocks.
 """
 from __future__ import annotations
 
@@ -17,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import CoinSet, not_gate
+from .series import CapitalSeries
 from .walk import LatticeOverflowError
+
+# Largest dense state init_density allocates.  A step's temporaries take
+# several times the state, so a state above this does not fit a desk
+# machine's memory.
+MAX_STATE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,12 @@ def init_density(c: int, initial_capital: int = 0,
         raise ValueError("steps_budget must be >= 0")
     half = abs(initial_capital) + steps_budget
     n = 2 * half + 1
+    nbytes = n * n * 4 * np.dtype(complex).itemsize
+    if nbytes > MAX_STATE_BYTES:
+        raise ValueError(f"a dense state of {n}x{n} coin blocks needs "
+                         f"{nbytes / 2 ** 30:.1f} GiB, above the "
+                         f"{MAX_STATE_BYTES / 2 ** 30:g} GiB limit; "
+                         "capital_moments gives the moments without it")
     blocks = np.zeros((n, n, 2, 2), dtype=complex)
     blocks[initial_capital + half, initial_capital + half, c, c] = 1.0
     return DensityState(blocks, half, 0)
@@ -115,6 +132,68 @@ def expected_capital_density(rho: DensityState) -> float:
 def second_moment_density(rho: DensityState) -> float:
     xs = rho.xs
     return float((xs * xs) @ position_populations(rho))
+
+
+def capital_moments(coins: CoinSet, c: int, steps: int) -> CapitalSeries:
+    """Exact <x> and <x^2> of the map from |c><c| (x) |0><0|, per step.
+
+    The map commutes with translation of the capital by 3, so the moments
+    close over the O(steps) sums
+
+        F_m[r, x mod 3, i, j] = sum_x x^m rho_{x, x-r}[i, j],  m = 0, 1, 2,
+
+    (the moment superoperator of Brun, Carteret & Ambainis, PRA 67, 032304
+    (2003)).  The coin step acts per (r, residue), because b(x) and
+    b(x - r) depend only on those two.  The shift moves coin entry ij's
+    residue by s_i and r by s_i - s_j (s_0 = -1, s_1 = +1) and re-expands
+    x^m binomially.  Equals step_density's moments up to summation order.
+    """
+    if c not in (0, 1):
+        raise ValueError("c must be a bit")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    # only even r = 2k with |k| <= steps occur; f[i, j] is the (m, k, res)
+    # plane of coin entry ij, k = index - steps
+    half = steps
+    ks = np.arange(-half, half + 1)
+    f = np.zeros((2, 2, 3, len(ks), 3), dtype=complex)
+    f[c, c, 0, half, 0] = 1.0
+    # b(x) by residue on the left; b(x - r) by (k, residue) on the right
+    b_res = np.stack([coins.b0, coins.b1, coins.b1])
+    left = b_res.transpose(1, 2, 0)[:, :, None, None, :]
+    res_y = (np.arange(3) - 2 * ks[:, None]) % 3
+    right = b_res[res_y].conj().transpose(2, 3, 0, 1)[:, :, None]
+    moments = np.empty((steps + 1, 3))
+    moments[0] = _trace_at_r0(f, half)
+    for n in range(1, steps + 1):
+        # light cone: before step n only |k| <= n - 1 is nonzero.  k moves
+        # at most 1 per step and the readout's entries (i = j, k = 0) are
+        # entered without moving k, so |k| > steps - n never reaches one.
+        w = min(n - 1, steps - n)
+        lo, hi = half - w, half + w + 1
+        win = f[:, :, :, lo:hi]
+        a_side = _sandwich(win, coins.a, coins.a.conj())
+        b_side = _sandwich(win, left, right[:, :, :, lo:hi])
+        f = np.zeros_like(f)
+        for i in (0, 1):
+            s = 2 * i - 1
+            for j in (0, 1):
+                g = a_side[i][j] + b_side[i][j]
+                g *= 0.5
+                # x -> x + s: the residue moves by s, k by (s_i - s_j)/2
+                # = i - j, and x^m re-expands binomially
+                g = np.roll(g, s, axis=-1)
+                out = f[i, j, :, lo + i - j:hi + i - j]
+                out[0] = g[0]
+                out[1] = g[1] + s * g[0]
+                out[2] = g[2] + 2 * s * g[1] + g[0]
+        moments[n] = _trace_at_r0(f, half)
+    return CapitalSeries(np.arange(steps + 1), moments[:, 1], moments[:, 2])
+
+
+def _trace_at_r0(f: np.ndarray, half: int) -> np.ndarray:
+    """(<1>, <x>, <x^2>) from the moment sums: Re sum_res Tr F_m[0, res]."""
+    return np.real(f[0, 0, :, half].sum(-1) + f[1, 1, :, half].sum(-1))
 
 
 def swap_conjugate(rho: DensityState) -> DensityState:

@@ -56,7 +56,8 @@ def run_d_measured(coins: CoinSet, d0: int, c0: int, steps: int,
         psi = shift_pure(psi)
         probs = np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2
         total = probs.sum()
-        assert abs(total - 1.0) < _NORM_TOL
+        if not abs(total - 1.0) < _NORM_TOL:
+            raise RuntimeError(f"norm {total!r} after step {n} is not 1")
         path[n] = xs @ probs, (xs * xs) @ probs
     return path
 
@@ -84,7 +85,9 @@ def run_dc_measured(coins: CoinSet, d0: int, c0: int, steps: int,
             gate = coins.a
         coin = gate @ coin
         p0 = abs(coin[0]) ** 2
-        assert abs(p0 + abs(coin[1]) ** 2 - 1.0) < _NORM_TOL
+        total = p0 + abs(coin[1]) ** 2
+        if not abs(total - 1.0) < _NORM_TOL:
+            raise RuntimeError(f"norm {total!r} after step {n} is not 1")
         outcome = 0 if rng.random() < p0 else 1
         cap += 1 if outcome else -1
         coin = np.zeros(2, dtype=complex)

@@ -197,6 +197,25 @@ def test_measured_ensemble_reduces_to_the_density_map():
     assert time.perf_counter() - t0 < 60.0
 
 
+def test_cpmap_cli_reaches_1000_steps_without_the_dense_state(
+        tmp_path, monkeypatch):
+    t0 = time.perf_counter()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cpmap CLI route built a dense state")
+    monkeypatch.setattr(cpmap, "init_density", refuse)
+    cols = {}
+    for c in (0, 1):
+        out = tmp_path / f"cpmap{c}.csv"
+        assert cli.main(["--game", "cpmap", "--steps", "1000",
+                         "--initial-c", str(c), "--out", str(out)]) == 0
+        cols[c] = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert cols[0].shape == (1001, 3)
+    assert np.max(np.abs(cols[0][:, 1] + cols[1][:, 1])) < 1e-9
+    assert np.max(np.abs(cols[0][:, 2] - cols[1][:, 2])) < 1e-9
+    assert time.perf_counter() - t0 < 30.0
+
+
 def test_fixed_seed_cli_runs_are_byte_identical(tmp_path):
     argvs = [
         ["--game", "classical", "--steps", "100", "--schedule", "AABB"],

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from parrondo import classical
-from parrondo.cli import RunConfig, emit_plot_data, main, parse_config, run
+from parrondo.cli import (
+    RunConfig,
+    emit_plot_data,
+    main,
+    parse_config,
+    route_discrepancy,
+    run,
+)
 from parrondo.gates import SU2Params
 from parrondo.series import CapitalSeries
 
@@ -175,6 +182,20 @@ def test_kspace_run_reports_the_discrepancy(tmp_path, capsys):
     assert "max |direct - kspace|" in printed
     disc = float(printed.rsplit(":", 1)[1])
     assert disc < 1e-8
+
+
+def test_route_discrepancy_scales_the_second_moment():
+    # a 1e-14 relative gap on a second moment near 1e8 is 1e-6 absolute,
+    # far above ATOL_CROSS, yet the routes agree
+    ns = np.arange(3)
+    mom = np.array([0.0, 1.0, 1e8])
+    reference = CapitalSeries(ns, np.array([0.0, 0.5, 1.0]), mom)
+    cap = reference.expected_capital + np.array([0.0, 2e-15, 0.0])
+    disc = route_discrepancy(reference, cap, mom * (1 + 1e-14))
+    assert disc == pytest.approx(1e-14, rel=1e-3)
+    disc = route_discrepancy(reference, cap + np.array([0.0, 0.0, 3e-9]),
+                             mom)
+    assert disc == pytest.approx(3e-9, rel=1e-6)
 
 
 def test_fixed_seed_runs_are_byte_identical(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parrondo.cpmap import (
     DensityState,
     b_step_pure,
+    capital_moments,
     coin_step_pure,
     expected_capital_density,
     init_density,
@@ -62,6 +64,12 @@ def test_init_density_validates_arguments():
         init_density(2, 0, 1)
     with pytest.raises(ValueError):
         init_density(0, 0, -1)
+
+
+def test_init_density_refuses_an_oversized_state_before_allocating():
+    # 200001^2 blocks of 64 B would be 2.6 TB
+    with pytest.raises(ValueError, match="GiB"):
+        init_density(0, 0, 100_000)
 
 
 def test_density_state_shape_is_checked():
@@ -175,9 +183,45 @@ WORD_CASES = [pytest.param(steps, c, coins, id=f"{prefix}{steps}-{c}")
 @pytest.mark.parametrize("steps, c, coins", WORD_CASES)
 def test_enumerating_strategy_words_reproduces_the_map(steps, c, coins):
     exact = _evolve(c, steps, coins)
-    np.testing.assert_allclose(exact.blocks,
-                               _brute_force_density(c, steps, coins),
-                               atol=1e-12)
+    words = DensityState(_brute_force_density(c, steps, coins), steps)
+    np.testing.assert_allclose(exact.blocks, words.blocks, atol=1e-12)
+    moments = capital_moments(coins, c, steps)
+    assert abs(moments.expected_capital[-1] -
+               expected_capital_density(words)) < 1e-12
+    assert abs(moments.second_moment[-1] -
+               second_moment_density(words)) < 1e-12
+
+
+# --- moment recursion ------------------------------------------------------------------
+
+SU2 = st.builds(SU2Params,
+                st.floats(min_value=0.0, max_value=np.pi),
+                st.floats(min_value=-np.pi, max_value=np.pi),
+                st.floats(min_value=-np.pi, max_value=np.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(SU2, SU2, SU2, st.integers(min_value=0, max_value=30),
+       st.sampled_from((0, 1)))
+def test_moment_recursion_matches_the_dense_map(a, b0, b1, steps, c):
+    coins = CoinSet(a=su2(a), b0=su2(b0), b1=su2(b1), u=COINS.u)
+    moments = capital_moments(coins, c, steps)
+    rho = init_density(c, 0, steps)
+    for n in range(steps + 1):
+        if n:
+            rho = step_density(rho, coins)
+        for got, ref in ((moments.expected_capital[n],
+                          expected_capital_density(rho)),
+                         (moments.second_moment[n],
+                          second_moment_density(rho))):
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_moment_recursion_validates_arguments():
+    with pytest.raises(ValueError):
+        capital_moments(COINS, 2, 1)
+    with pytest.raises(ValueError):
+        capital_moments(COINS, 0, -1)
 
 
 def test_sampled_unitary_trajectories_are_deterministic_per_seed():

@@ -51,6 +51,16 @@ def test_runners_validate_bits_and_steps():
             runner(COINS, 0, 0, -1)
 
 
+def test_runners_raise_when_the_norm_drifts():
+    # a coin altered after validation; a raised error, unlike an assert,
+    # survives python -O
+    coins = default_coins(0.01)
+    object.__setattr__(coins, "a", 1.5 * np.eye(2))
+    for runner in (run_d_measured, run_dc_measured):
+        with pytest.raises(RuntimeError, match="norm"):
+            runner(coins, 0, 0, 20, rng_seed=3)
+
+
 def test_initial_strategy_bit_only_relabels_the_stream():
     # the mixing rotation gives even odds from either basis state, so
     # both starts produce valid paths (not identical, still one per seed)
