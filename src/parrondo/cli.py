@@ -71,9 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
-    known = {"game", "steps", "epsilon", "schedule", "initial_d", "initial_c",
-             "samples", "seed", "k_grid", "out", "coin_a", "coin_b0",
-             "coin_b1"}
+    known = {"game"}.union(*_ALLOWED.values())
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -136,14 +134,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     file_values = (_read_config_file(args.config, parser)
                    if args.config else {})
 
-    merged = {}
-    for key, raw in file_values.items():
-        merged[key] = _convert(key, raw, parser)
-    for key in ("game", "steps", "epsilon", "schedule", "initial_d",
-                "initial_c", "samples", "seed", "k_grid", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
+    merged = {key: _convert(key, raw, parser)
+              for key, raw in file_values.items()}
+    merged.update((key, value) for key, value in vars(args).items()
+                  if value is not None and key != "config")
 
     game = merged.get("game")
     if game is None:
@@ -161,6 +155,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     steps = merged.get("steps", _DEFAULT_STEPS[game])
     if steps < 0:
         parser.error("steps must be >= 0")
+    # every game's biases detune downwards; the upper bound is per game
+    epsilon = merged.get("epsilon", 0.01)
+    if not epsilon >= 0:
+        parser.error("epsilon must be >= 0")
     samples = merged.get("samples", 5000)
     if samples < 1:
         parser.error("samples must be >= 1")
@@ -178,7 +176,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     return RunConfig(
         game=game,
         steps=steps,
-        epsilon=merged.get("epsilon", 0.01),
+        epsilon=epsilon,
         out=merged["out"],
         schedule=schedule,
         initial_d=merged.get("initial_d", 0),
@@ -246,33 +244,25 @@ def _run_kspace(config: RunConfig) -> None:
 def run(config: RunConfig) -> int:
     """Dispatch, write the CSV, report 0 on success."""
     try:
+        if config.game == "kspace":
+            _run_kspace(config)
+            return 0
         if config.game == "classical":
-            params = classical.default_params(config.epsilon)
             series = classical.propagate_distribution(
-                params, config.schedule, config.steps)
-            series.write_csv(config.out)
+                classical.default_params(config.epsilon), config.schedule,
+                config.steps)
         elif config.game == "quantum":
             series = walk.run(_coins(config), config.initial_d,
                               config.initial_c, config.steps)
-            series.write_csv(config.out)
         elif config.game == "cpmap":
             series = cpmap.capital_moments(_coins(config), config.initial_c,
                                            config.steps)
-            series.write_csv(config.out)
-        elif config.game in ("traj-d", "traj-dc"):
-            coins = _coins(config)
-            runner_fn = (measured.run_d_measured if config.game == "traj-d"
-                         else measured.run_dc_measured)
-
-            def runner(seed: int) -> np.ndarray:
-                return runner_fn(coins, config.initial_d, config.initial_c,
-                                 config.steps, seed)
-
-            series = measured.average_trajectories(runner, config.samples,
-                                                   config.seed)
-            series.write_csv(config.out)
         else:
-            _run_kspace(config)
+            series = measured.average_trajectories(measured.ensemble_paths(
+                _coins(config), config.initial_d, config.initial_c,
+                config.steps, config.samples, config.seed,
+                collapse_coin=config.game == "traj-dc"))
+        series.write_csv(config.out)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

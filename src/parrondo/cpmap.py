@@ -17,11 +17,11 @@ full blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gates import CoinSet, not_gate
+from .gates import MIX_PARAMS, CoinSet, not_gate, su2
 from .series import CapitalSeries
 from .walk import LatticeOverflowError
 
@@ -203,11 +203,7 @@ def swap_conjugate(rho: DensityState) -> DensityState:
     return DensityState(blocks, rho.offset, rho.step)
 
 
-# --- pure-state helpers shared with the measurement module -------------------
-
-def coin_step_pure(psi: np.ndarray, coin: np.ndarray) -> np.ndarray:
-    return coin @ psi
-
+# --- pure-state helpers: one trajectory's step, the tests' reference ---------
 
 def b_step_pure(psi: np.ndarray, coins: CoinSet,
                 mask0: np.ndarray) -> np.ndarray:
@@ -234,26 +230,10 @@ def sample_unitary_trajectory(coins: CoinSet, c: int, steps: int,
     Each step draws A or the capital-conditioned B with probability 1/2
     and applies it unitarily.  Returns rows (expected capital, second
     moment) for n = 0 .. steps; averaging rows over seeds reproduces the
-    exact density evolution.
+    exact density evolution.  This is measured.run_d_measured under the
+    mixing rotation, whose odds miss 1/2 by one rounding: the two differ
+    only on a draw of exactly 1/2.
     """
-    if c not in (0, 1):
-        raise ValueError("c must be a bit")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    rng = np.random.default_rng(rng_seed)
-    half = steps
-    xs = np.arange(-half, half + 1)
-    mask0 = xs % 3 == 0
-    psi = np.zeros((2, 2 * half + 1), dtype=complex)
-    psi[c, half] = 1.0
-    path = np.empty((steps + 1, 2))
-    path[0] = 0.0, 0.0
-    for n in range(1, steps + 1):
-        if rng.random() < 0.5:
-            psi = coin_step_pure(psi, coins.a)
-        else:
-            psi = b_step_pure(psi, coins, mask0)
-        psi = shift_pure(psi)
-        probs = np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2
-        path[n] = xs @ probs, (xs * xs) @ probs
-    return path
+    from .measured import run_d_measured  # measured builds on this module
+    return run_d_measured(replace(coins, u=su2(MIX_PARAMS)), 0, c, steps,
+                          rng_seed)

@@ -161,7 +161,7 @@ def test_strategy_word_enumeration_and_sampled_unravelling():
             if (word >> n) & 1:
                 psi = cpmap.b_step_pure(psi, COINS, mask0)
             else:
-                psi = cpmap.coin_step_pure(psi, COINS.a)
+                psi = COINS.a @ psi
             psi = cpmap.shift_pure(psi)
         blocks += weight * np.einsum("ix,jy->xyij", psi, psi.conj())
     rho = cpmap.init_density(0, 0, steps)
@@ -173,9 +173,9 @@ def test_strategy_word_enumeration_and_sampled_unravelling():
     for _ in range(100):
         rho = cpmap.step_density(rho, COINS)
     target = cpmap.expected_capital_density(rho)
-    finals = np.array([cpmap.sample_unitary_trajectory(COINS, 0, 100,
-                                                       s)[-1, 0]
-                       for s in range(5000)])
+    # COINS mix the strategies with MIX_PARAMS, so these rows are
+    # cpmap.sample_unitary_trajectory(COINS, 0, 100, s) for s = 0 .. 4999
+    finals = measured.ensemble_paths(COINS, 0, 0, 100, 5000)[:, -1, 0]
     se = finals.std(ddof=1) / np.sqrt(len(finals))
     assert abs(finals.mean() - target) < 4 * se
 
@@ -190,8 +190,7 @@ def test_measured_ensemble_reduces_to_the_density_map():
             rho = cpmap.step_density(rho, COINS)
             exact.append(cpmap.expected_capital_density(rho))
         series = measured.average_trajectories(
-            lambda seed: measured.run_d_measured(COINS, 0, c0, steps, seed),
-            samples)
+            measured.ensemble_paths(COINS, 0, c0, steps, samples))
         gap = np.abs(series.expected_capital - np.array(exact))
         assert np.all(gap <= 4 * series.stderr)
     assert time.perf_counter() - t0 < 60.0

@@ -93,6 +93,22 @@ def test_out_of_range_values_are_rejected(argv):
         _parse(argv)
 
 
+@pytest.mark.parametrize("game", ["classical", "quantum", "kspace", "cpmap",
+                                  "traj-d", "traj-dc"])
+def test_negative_epsilon_is_a_usage_error_for_every_game(game, tmp_path,
+                                                          capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon = -0.05\n")
+    for argv in (["--epsilon", "-0.05"], ["--epsilon", "nan"],
+                 ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            _parse(["--game", game, "--out", "x"] + argv)
+        assert exc.value.code == 2
+        assert "epsilon must be >= 0" in capsys.readouterr().err
+    cfg = _parse(["--game", game, "--epsilon", "0", "--out", "x"])
+    assert cfg.epsilon == 0.0
+
+
 def test_kspace_grid_must_cover_the_walk():
     cfg = _parse(["--game", "kspace", "--steps", "10", "--k-grid", "23",
                   "--out", "x"])

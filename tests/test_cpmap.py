@@ -6,7 +6,6 @@ from parrondo.cpmap import (
     DensityState,
     b_step_pure,
     capital_moments,
-    coin_step_pure,
     expected_capital_density,
     init_density,
     position_populations,
@@ -17,6 +16,7 @@ from parrondo.cpmap import (
     swap_conjugate,
 )
 from parrondo.gates import CoinSet, default_coins, su2, SU2Params
+from parrondo.measured import run_d_measured
 from parrondo.walk import LatticeOverflowError, run
 
 COINS = default_coins(0.01)
@@ -43,7 +43,7 @@ def _brute_force_density(c, steps, coins=COINS):
             if (word >> n) & 1:
                 psi = b_step_pure(psi, coins, mask0)
             else:
-                psi = coin_step_pure(psi, coins.a)
+                psi = coins.a @ psi
             psi = shift_pure(psi)
         blocks += weight * np.einsum("ix,jy->xyij", psi, psi.conj())
     return blocks
@@ -247,6 +247,17 @@ def test_trajectory_ensemble_approaches_the_exact_capital():
                        for s in range(samples)])
     se = finals.std(ddof=1) / np.sqrt(samples)
     assert abs(finals.mean() - target) < 4 * se
+
+
+def test_sampled_unravelling_keeps_fair_odds_under_any_mixing():
+    # under u = 1 the measured game would play a forever; the unravelling
+    # still mixes fairly, as the measured game does under MIX_PARAMS
+    stuck = CoinSet(a=COINS.a, b0=COINS.b0, b1=COINS.b1, u=np.eye(2))
+    for c in (0, 1):
+        path = sample_unitary_trajectory(stuck, c, 50, rng_seed=9)
+        for d0 in (0, 1):
+            np.testing.assert_array_equal(
+                path, run_d_measured(COINS, d0, c, 50, rng_seed=9))
 
 
 def test_sample_unitary_trajectory_validates_arguments():

@@ -1,19 +1,169 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from parrondo import measured
+from parrondo.cli import main
 from parrondo.cpmap import (
+    b_step_pure,
+    capital_moments,
     expected_capital_density,
     init_density,
+    shift_pure,
     step_density,
 )
-from parrondo.gates import CoinSet, SU2Params, default_coins, su2
+from parrondo.gates import MIX_PARAMS, CoinSet, SU2Params, default_coins, su2
 from parrondo.measured import (
     average_trajectories,
+    ensemble_paths,
     run_d_measured,
     run_dc_measured,
 )
 
 COINS = default_coins(0.01)
+# complex entries everywhere and a mixing rotation whose odds depend on
+# the collapsed strategy bit
+SKEW_COINS = CoinSet(a=su2(SU2Params(1.1, 0.4, -0.9)),
+                     b0=su2(SU2Params(0.3, -1.2, 2.0)),
+                     b1=su2(SU2Params(2.2, 0.7, 1.3)),
+                     u=su2(SU2Params(1.2, 0.5, -2.1)))
+
+
+# --- per-seed reference loops: one trajectory at a time, one random() per draw
+
+def _measure_strategy(coins, d, rng):
+    return 0 if rng.random() < abs(coins.u[0, d]) ** 2 else 1
+
+
+def _reference_d(coins, d0, c0, steps, seed):
+    rng = np.random.default_rng(seed)
+    xs = np.arange(-steps, steps + 1)
+    mask0 = xs % 3 == 0
+    psi = np.zeros((2, len(xs)), dtype=complex)
+    psi[c0, steps] = 1.0
+    d = d0
+    path = np.zeros((steps + 1, 2))
+    for n in range(1, steps + 1):
+        d = _measure_strategy(coins, d, rng)
+        if d == 1:
+            psi = b_step_pure(psi, coins, mask0)
+        else:
+            psi = coins.a @ psi
+        psi = shift_pure(psi)
+        probs = np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2
+        path[n] = xs @ probs, (xs * xs) @ probs
+    return path
+
+
+def _reference_dc(coins, d0, c0, steps, seed):
+    rng = np.random.default_rng(seed)
+    coin = np.zeros(2, dtype=complex)
+    coin[c0] = 1.0
+    d = d0
+    cap = 0
+    path = np.zeros((steps + 1, 2))
+    for n in range(1, steps + 1):
+        d = _measure_strategy(coins, d, rng)
+        if d == 1:
+            gate = coins.b0 if cap % 3 == 0 else coins.b1
+        else:
+            gate = coins.a
+        coin = gate @ coin
+        outcome = 0 if rng.random() < abs(coin[0]) ** 2 else 1
+        cap += 1 if outcome else -1
+        coin = np.zeros(2, dtype=complex)
+        coin[outcome] = 1.0
+        path[n] = cap, cap * cap
+    return path
+
+
+# --- the batched engine against them, its rows and its limits ---------------
+
+REFERENCE_CASES = [
+    pytest.param(coins, d0, c0, steps, id=f"{name}-d{d0}-c{c0}-{steps}")
+    for name, coins in (("default", COINS), ("skew", SKEW_COINS))
+    for d0 in (0, 1) for c0 in (0, 1) for steps in (0, 1, 37)]
+
+
+@pytest.mark.parametrize("coins, d0, c0, steps", REFERENCE_CASES)
+def test_collapsed_ensemble_equals_the_per_seed_loop_bitwise(coins, d0, c0,
+                                                            steps):
+    paths = ensemble_paths(coins, d0, c0, steps, 40, 11, collapse_coin=True)
+    ref = np.stack([_reference_dc(coins, d0, c0, steps, 11 + i)
+                    for i in range(40)])
+    np.testing.assert_array_equal(paths, ref)
+
+
+@pytest.mark.parametrize("coins, d0, c0, steps", REFERENCE_CASES)
+def test_coherent_ensemble_matches_the_per_seed_loop(coins, d0, c0, steps):
+    paths = ensemble_paths(coins, d0, c0, steps, 12, 5)
+    ref = np.stack([_reference_d(coins, d0, c0, steps, 5 + i)
+                    for i in range(12)])
+    assert np.all(np.abs(paths - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("collapse_coin", (False, True))
+def test_a_row_does_not_depend_on_its_batch_or_chunk(monkeypatch,
+                                                     collapse_coin):
+    # chunks of 3 put chunk boundaries after rows 2, 5, 8 of the batch
+    monkeypatch.setattr(measured, "CHUNK", 3)
+    steps, base = 25, 100
+    batch = ensemble_paths(SKEW_COINS, 0, 1, steps, 10, base, collapse_coin)
+    for i in range(10):
+        alone = ensemble_paths(SKEW_COINS, 0, 1, steps, 1, base + i,
+                               collapse_coin)
+        assert np.array_equal(batch[i], alone[0])
+    shifted = ensemble_paths(SKEW_COINS, 0, 1, steps, 5, base + 4,
+                             collapse_coin)
+    assert np.array_equal(batch[4:9], shifted)
+    monkeypatch.setattr(measured, "CHUNK", 128)
+    assert np.array_equal(
+        ensemble_paths(SKEW_COINS, 0, 1, steps, 10, base, collapse_coin),
+        batch)
+
+
+def test_oversized_ensembles_are_refused_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized ensemble allocated its paths")
+    monkeypatch.setattr(measured.np, "zeros", refuse)
+    for collapse_coin in (False, True):
+        # 10^7 x 101 x 2 doubles: 15.1 GiB
+        with pytest.raises(ValueError, match="15.1 GiB"):
+            ensemble_paths(COINS, 0, 0, 100, 10 ** 7,
+                           collapse_coin=collapse_coin)
+        # one row past 1 GiB
+        with pytest.raises(ValueError, match="GiB"):
+            ensemble_paths(COINS, 0, 0, 0, 2 ** 26 + 1,
+                           collapse_coin=collapse_coin)
+
+
+@pytest.mark.parametrize("game", ("traj-d", "traj-dc"))
+def test_cli_refuses_oversized_ensembles(tmp_path, capsys, game):
+    out = tmp_path / "huge.csv"
+    assert main(["--game", game, "--steps", "100", "--samples",
+                 str(10 ** 7), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GiB" in err
+    assert not out.exists()
+
+
+SU2 = st.builds(SU2Params,
+                st.floats(min_value=0.0, max_value=np.pi),
+                st.floats(min_value=-np.pi, max_value=np.pi),
+                st.floats(min_value=-np.pi, max_value=np.pi))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(SU2, SU2, SU2, st.integers(min_value=0, max_value=30),
+       st.sampled_from((0, 1)))
+def test_coherent_ensemble_mean_matches_the_moment_recursion(a, b0, b1, steps,
+                                                             c):
+    # the mixing rotation makes the strategy draws the map's fair mixture
+    coins = CoinSet(a=su2(a), b0=su2(b0), b1=su2(b1), u=su2(MIX_PARAMS))
+    finals = ensemble_paths(coins, 0, c, steps, 2000)[:, -1, 0]
+    exact = capital_moments(coins, c, steps).expected_capital[-1]
+    se = finals.std(ddof=1) / np.sqrt(len(finals))
+    assert abs(finals.mean() - exact) <= 5 * se + 1e-9
 
 
 # --- trajectory mechanics ----------------------------------------------------
@@ -49,6 +199,8 @@ def test_runners_validate_bits_and_steps():
             runner(COINS, 2, 0, 1)
         with pytest.raises(ValueError):
             runner(COINS, 0, 0, -1)
+    with pytest.raises(ValueError, match="samples"):
+        ensemble_paths(COINS, 0, 0, 5, 0)
 
 
 def test_runners_raise_when_the_norm_drifts():
@@ -144,18 +296,20 @@ def test_ensemble_capital_is_antisymmetric_in_the_coin_start():
 
 def test_single_sample_average_equals_the_run():
     path = run_d_measured(COINS, 0, 0, 15, rng_seed=42)
-    series = average_trajectories(
-        lambda seed: run_d_measured(COINS, 0, 0, 15, seed), 1, base_seed=42)
+    series = average_trajectories(ensemble_paths(COINS, 0, 0, 15, 1, 42))
     np.testing.assert_array_equal(series.expected_capital, path[:, 0])
     np.testing.assert_array_equal(series.second_moment, path[:, 1])
     np.testing.assert_array_equal(series.stderr, np.zeros(16))
 
 
 def test_average_uses_consecutive_seeds_and_exact_error():
-    def fake(seed):
-        return np.array([[0.0, 0.0], [float(seed), float(seed) ** 2]])
-
-    series = average_trajectories(fake, 3, base_seed=0)
+    paths = ensemble_paths(COINS, 0, 0, 15, 3, base_seed=7)
+    for i in range(3):
+        np.testing.assert_array_equal(paths[i],
+                                      run_d_measured(COINS, 0, 0, 15, 7 + i))
+    fake = np.array([[[0.0, 0.0], [float(s), float(s) ** 2]]
+                     for s in range(3)])
+    series = average_trajectories(fake)
     np.testing.assert_array_equal(series.ns, [0, 1])
     assert series.expected_capital[1] == pytest.approx(1.0)
     assert series.second_moment[1] == pytest.approx(5 / 3)
@@ -166,4 +320,4 @@ def test_average_uses_consecutive_seeds_and_exact_error():
 
 def test_average_rejects_empty_ensembles():
     with pytest.raises(ValueError):
-        average_trajectories(lambda s: np.zeros((2, 2)), 0)
+        average_trajectories(np.zeros((0, 2, 2)))
