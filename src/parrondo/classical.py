@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .series import CapitalSeries
+from .series import CapitalSeries, observe
 
 
 class DegenerateChainError(ValueError):
@@ -34,7 +34,6 @@ class ClassicalGameParams:
     p: float
     p0: float
     p1: float
-    epsilon: float = 0.0
 
     def __post_init__(self):
         for name in ("p", "p0", "p1"):
@@ -50,8 +49,7 @@ class ClassicalGameParams:
 
 def default_params(epsilon: float) -> ClassicalGameParams:
     """Standard biases p = 1/2 - eps, p0 = 1/10 - eps, p1 = 3/4 - eps."""
-    return ClassicalGameParams(0.5 - epsilon, 0.1 - epsilon, 0.75 - epsilon,
-                               epsilon)
+    return ClassicalGameParams(0.5 - epsilon, 0.1 - epsilon, 0.75 - epsilon)
 
 
 # --- strategy schedules ---------------------------------------------------
@@ -199,14 +197,8 @@ def propagate_distribution(params: ClassicalGameParams,
                            schedule: StrategySchedule,
                            steps: int,
                            initial_capital: int = 0) -> CapitalSeries:
-    ns = np.arange(steps + 1)
-    cap = np.empty(steps + 1)
-    mom = np.empty(steps + 1)
-    for dist in distribution_steps(params, schedule, steps, initial_capital):
-        xs = dist.xs
-        cap[dist.step] = xs @ dist.probs
-        mom[dist.step] = (xs * xs) @ dist.probs
-    return CapitalSeries(ns, cap, mom)
+    return observe((dist.xs, dist.probs) for dist in distribution_steps(
+        params, schedule, steps, initial_capital))
 
 
 # --- sampled trajectories ---------------------------------------------------

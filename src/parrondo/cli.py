@@ -3,42 +3,25 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from . import classical, cpmap, kspace, measured, walk
-from .gates import MIX_PARAMS, CoinSet, SU2Params, default_coins, su2
-from .series import CapitalSeries, format_float
-
-GAMES = ("classical", "quantum", "cpmap", "traj-d", "traj-dc", "kspace")
-
-# which options make sense for which game; anything else given explicitly
-# is a usage error
-_COMMON = {"steps", "epsilon", "out"}
-_COINS = {"coin_a", "coin_b0", "coin_b1"}
-_ALLOWED = {
-    "classical": _COMMON | {"schedule"},
-    "quantum": _COMMON | _COINS | {"initial_d", "initial_c"},
-    "kspace": _COMMON | _COINS | {"initial_d", "initial_c", "k_grid"},
-    "cpmap": _COMMON | _COINS | {"initial_c"},
-    "traj-d": _COMMON | _COINS | {"initial_d", "initial_c", "samples", "seed"},
-    "traj-dc": _COMMON | _COINS | {"initial_d", "initial_c", "samples",
-                                   "seed"},
-}
-
-# steps at which every game finishes well inside the desk-scale budget
-_DEFAULT_STEPS = {"classical": 1000, "quantum": 1000, "kspace": 1000,
-                  "cpmap": 200, "traj-d": 100, "traj-dc": 100}
+from .gates import CoinSet, SU2Params, default_coins, su2
+# format_float is not called here; the benchmark's tracer still wraps
+# cli.format_float by name, so the name has to resolve
+from .series import CapitalSeries, format_float  # noqa: F401
 
 
 @dataclass(frozen=True)
 class RunConfig:
     game: str
     steps: int
-    epsilon: float
     out: str
-    schedule: classical.StrategySchedule | None = None
+    epsilon: float = 0.01
+    schedule: classical.StrategySchedule = classical.RandomMixture(0.5)
     initial_d: int = 0
     initial_c: int = 0
     samples: int = 5000
@@ -47,6 +30,89 @@ class RunConfig:
     coin_a: SU2Params | None = None
     coin_b0: SU2Params | None = None
     coin_b1: SU2Params | None = None
+
+
+def _coins(config: RunConfig) -> CoinSet:
+    given = {"a": config.coin_a, "b0": config.coin_b0, "b1": config.coin_b1}
+    return replace(default_coins(config.epsilon),
+                   **{name: su2(p) for name, p in given.items() if p})
+
+
+def route_discrepancy(reference: CapitalSeries, cap: np.ndarray,
+                      mom: np.ndarray) -> float:
+    """Largest gap of a second route from the reference series.
+
+    The capital's gap counts absolutely; the second moment grows as n^2,
+    so its gap counts relative to max(1, <x^2>).
+    """
+    cap_gap = np.max(np.abs(cap - reference.expected_capital))
+    mom_gap = np.max(np.abs(mom - reference.second_moment) /
+                     np.maximum(1.0, np.abs(reference.second_moment)))
+    return float(max(cap_gap, mom_gap))
+
+
+# --- one series function per game --------------------------------------------
+
+def _classical(config: RunConfig) -> CapitalSeries:
+    return classical.propagate_distribution(
+        classical.default_params(config.epsilon), config.schedule,
+        config.steps)
+
+
+def _quantum(config: RunConfig) -> CapitalSeries:
+    return walk.run(_coins(config), config.initial_d, config.initial_c,
+                    config.steps)
+
+
+def _kspace(config: RunConfig) -> CapitalSeries:
+    """The walk's series with the momentum route's moments beside it."""
+    coins = _coins(config)
+    direct = walk.run(coins, config.initial_d, config.initial_c, config.steps)
+    grid = kspace.KGrid(config.k_grid) if config.k_grid else None
+    route = kspace.capital_series(coins, config.initial_d, config.initial_c,
+                                  config.steps, grid)
+    disc = route_discrepancy(direct, route.expected_capital,
+                             route.second_moment)
+    print("max |direct - kspace| (capital absolute, second moment relative "
+          f"to max(1, <x^2>)): {disc:.3e}")
+    return CapitalSeries(direct.ns, direct.expected_capital,
+                         direct.second_moment,
+                         {"expected_capital_kspace": route.expected_capital,
+                          "second_moment_kspace": route.second_moment})
+
+
+def _cpmap(config: RunConfig) -> CapitalSeries:
+    return cpmap.capital_moments(_coins(config), config.initial_c,
+                                 config.steps)
+
+
+def _trajectories(config: RunConfig) -> CapitalSeries:
+    return measured.average_trajectories(measured.ensemble_paths(
+        _coins(config), config.initial_d, config.initial_c, config.steps,
+        config.samples, config.seed, collapse_coin=config.game == "traj-dc"))
+
+
+@dataclass(frozen=True)
+class Game:
+    # options that make sense for the game; anything else given explicitly
+    # is a usage error
+    options: set[str]
+    # steps at which the game finishes well inside the desk-scale budget
+    steps: int
+    series: Callable[[RunConfig], CapitalSeries]
+
+
+_COMMON = {"steps", "epsilon", "out"}
+_CPMAP = _COMMON | {"coin_a", "coin_b0", "coin_b1", "initial_c"}
+_QUANTUM = _CPMAP | {"initial_d"}
+GAMES = {
+    "classical": Game(_COMMON | {"schedule"}, 1000, _classical),
+    "quantum": Game(_QUANTUM, 1000, _quantum),
+    "cpmap": Game(_CPMAP, 200, _cpmap),
+    "traj-d": Game(_QUANTUM | {"samples", "seed"}, 100, _trajectories),
+    "traj-dc": Game(_QUANTUM | {"samples", "seed"}, 100, _trajectories),
+    "kspace": Game(_QUANTUM | {"k_grid"}, 1000, _kspace),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
-    known = {"game"}.union(*_ALLOWED.values())
+    known = {"game"}.union(*(g.options for g in GAMES.values()))
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -88,7 +154,7 @@ def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
         key = key.strip().replace("-", "_")
         if key not in known:
             parser.error(f"{path}:{i}: unknown key {key!r}")
-        out[key] = value.strip()
+        out[key] = _convert(key, value.strip(), parser)
     return out
 
 
@@ -111,19 +177,12 @@ def _convert(key: str, raw: str, parser: argparse.ArgumentParser):
 
 def _parse_schedule(text: str,
                     parser: argparse.ArgumentParser) -> classical.StrategySchedule:
-    if text == "A":
-        return classical.AlwaysA()
-    if text == "B":
-        return classical.AlwaysB()
-    if text == "random":
-        return classical.RandomMixture(0.5)
-    if text.startswith("random:"):
-        try:
-            return classical.RandomMixture(float(text.split(":", 1)[1]))
-        except ValueError as exc:
-            parser.error(f"bad schedule {text!r} ({exc})")
+    named = {"A": classical.AlwaysA(), "B": classical.AlwaysB(),
+             "random": classical.RandomMixture(0.5)}
     try:
-        return classical.Periodic(text)
+        if text.startswith("random:"):
+            return classical.RandomMixture(float(text.split(":", 1)[1]))
+        return named[text] if text in named else classical.Periodic(text)
     except ValueError as exc:
         parser.error(f"bad schedule {text!r} ({exc})")
 
@@ -131,11 +190,7 @@ def _parse_schedule(text: str,
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    file_values = (_read_config_file(args.config, parser)
-                   if args.config else {})
-
-    merged = {key: _convert(key, raw, parser)
-              for key, raw in file_values.items()}
+    merged = _read_config_file(args.config, parser) if args.config else {}
     merged.update((key, value) for key, value in vars(args).items()
                   if value is not None and key != "config")
 
@@ -145,148 +200,40 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     if game not in GAMES:
         parser.error(f"unknown game {game!r}")
 
-    stray = set(merged) - {"game"} - _ALLOWED[game]
+    stray = set(merged) - {"game"} - GAMES[game].options
     if stray:
         parser.error(f"option(s) {sorted(stray)} do not apply to "
                      f"--game {game}")
     if "out" not in merged:
         parser.error("--out is required")
+    if "schedule" in merged:
+        merged["schedule"] = _parse_schedule(merged["schedule"], parser)
+    config = RunConfig(**{"steps": GAMES[game].steps, **merged})
 
-    steps = merged.get("steps", _DEFAULT_STEPS[game])
-    if steps < 0:
+    if config.steps < 0:
         parser.error("steps must be >= 0")
     # every game's biases detune downwards; the upper bound is per game
-    epsilon = merged.get("epsilon", 0.01)
-    if not epsilon >= 0:
+    if not config.epsilon >= 0:
         parser.error("epsilon must be >= 0")
-    samples = merged.get("samples", 5000)
-    if samples < 1:
+    if config.samples < 1:
         parser.error("samples must be >= 1")
     for bit_key in ("initial_d", "initial_c"):
-        if merged.get(bit_key, 0) not in (0, 1):
+        if getattr(config, bit_key) not in (0, 1):
             parser.error(f"{bit_key.replace('_', '-')} must be 0 or 1")
-    k_grid = merged.get("k_grid")
-    if k_grid is not None and k_grid < 2 * steps + 3:
-        parser.error(f"k-grid must be at least 2*steps+3 = {2 * steps + 3}")
-
-    schedule = None
-    if game == "classical":
-        schedule = _parse_schedule(merged.get("schedule", "random"), parser)
-
-    return RunConfig(
-        game=game,
-        steps=steps,
-        epsilon=epsilon,
-        out=merged["out"],
-        schedule=schedule,
-        initial_d=merged.get("initial_d", 0),
-        initial_c=merged.get("initial_c", 0),
-        samples=samples,
-        seed=merged.get("seed", 42),
-        k_grid=k_grid,
-        coin_a=merged.get("coin_a"),
-        coin_b0=merged.get("coin_b0"),
-        coin_b1=merged.get("coin_b1"),
-    )
-
-
-def _coins(config: RunConfig) -> CoinSet:
-    base = default_coins(config.epsilon)
-    return CoinSet(
-        a=su2(config.coin_a) if config.coin_a else base.a,
-        b0=su2(config.coin_b0) if config.coin_b0 else base.b0,
-        b1=su2(config.coin_b1) if config.coin_b1 else base.b1,
-        u=su2(MIX_PARAMS),
-    )
-
-
-def route_discrepancy(reference: CapitalSeries, cap: np.ndarray,
-                      mom: np.ndarray) -> float:
-    """Largest gap of a second route from the reference series.
-
-    The capital's gap counts absolutely; the second moment grows as n^2,
-    so its gap counts relative to max(1, <x^2>).
-    """
-    cap_gap = np.max(np.abs(cap - reference.expected_capital))
-    mom_gap = np.max(np.abs(mom - reference.second_moment) /
-                     np.maximum(1.0, np.abs(reference.second_moment)))
-    return float(max(cap_gap, mom_gap))
-
-
-def _run_kspace(config: RunConfig) -> None:
-    coins = _coins(config)
-    direct = walk.run(coins, config.initial_d, config.initial_c, config.steps)
-    grid = (kspace.KGrid(config.k_grid) if config.k_grid
-            else kspace.KGrid.for_steps(config.steps))
-    cap = np.empty(config.steps + 1)
-    mom = np.empty(config.steps + 1)
-    for state in kspace.propagate_steps(coins, config.initial_d,
-                                        config.initial_c, config.steps, grid):
-        xs, probs = kspace.position_distribution(state, grid, state.step)
-        cap[state.step] = xs @ probs
-        mom[state.step] = (xs * xs) @ probs
-    disc = route_discrepancy(direct, cap, mom)
-    with open(config.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("n,expected_capital,second_moment,"
-                 "expected_capital_kspace,second_moment_kspace\n")
-        for n in range(config.steps + 1):
-            fh.write(",".join([
-                str(n),
-                format_float(direct.expected_capital[n]),
-                format_float(direct.second_moment[n]),
-                format_float(cap[n]),
-                format_float(mom[n]),
-            ]) + "\n")
-    print("max |direct - kspace| (capital absolute, second moment relative "
-          f"to max(1, <x^2>)): {disc:.3e}")
+    if config.k_grid is not None and config.k_grid < 2 * config.steps + 3:
+        parser.error(f"k-grid must be at least 2*steps+3 = "
+                     f"{2 * config.steps + 3}")
+    return config
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch, write the CSV, report 0 on success."""
+    """Compute the game's series and write its CSV; 0 on success."""
     try:
-        if config.game == "kspace":
-            _run_kspace(config)
-            return 0
-        if config.game == "classical":
-            series = classical.propagate_distribution(
-                classical.default_params(config.epsilon), config.schedule,
-                config.steps)
-        elif config.game == "quantum":
-            series = walk.run(_coins(config), config.initial_d,
-                              config.initial_c, config.steps)
-        elif config.game == "cpmap":
-            series = cpmap.capital_moments(_coins(config), config.initial_c,
-                                           config.steps)
-        else:
-            series = measured.average_trajectories(measured.ensemble_paths(
-                _coins(config), config.initial_d, config.initial_c,
-                config.steps, config.samples, config.seed,
-                collapse_coin=config.game == "traj-dc"))
-        series.write_csv(config.out)
+        GAMES[config.game].series(config).write_csv(config.out)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def emit_plot_data(*series: CapitalSeries, labels: list[str] | None = None,
-                   field: str = "expected_capital") -> str:
-    """Aligned whitespace-separated columns `n series1 series2 ...`."""
-    if labels is None:
-        labels = [f"series{i + 1}" for i in range(len(series))]
-    if len(labels) != len(series):
-        raise ValueError("one label per series required")
-    lines = ["# n " + " ".join(labels) if series else "# n"]
-    if series:
-        ns = series[0].ns
-        for s in series[1:]:
-            if len(s) != len(ns) or np.any(s.ns != ns):
-                raise ValueError("series step columns differ")
-        for i, n in enumerate(ns):
-            cells = [f"{int(n):6d}"]
-            cells += [format_float(getattr(s, field)[i]) for s in series]
-            lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

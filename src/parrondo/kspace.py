@@ -21,6 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .gates import CoinSet
+from .series import CapitalSeries, observe
 from .walk import step_amplitudes, w_matrix
 
 # interior representative of each residue class inside the 9-site window
@@ -165,11 +166,16 @@ def position_distribution(state: KSpaceState, grid: KGrid,
     return xs, np.sum(np.abs(amp) ** 2, axis=1)
 
 
+def capital_series(coins: CoinSet, d: int, c: int, steps: int,
+                   grid: KGrid | None = None) -> CapitalSeries:
+    """Capital series over n = 0 .. steps from the momentum representation."""
+    if grid is None:
+        grid = KGrid.for_steps(steps)
+    return observe(position_distribution(state, grid, state.step)
+                   for state in propagate_steps(coins, d, c, steps, grid))
+
+
 def capital_via_kspace(coins: CoinSet, d: int, c: int, steps: int,
                        grid: KGrid | None = None) -> float:
     """Expected capital after `steps` from the momentum representation."""
-    if grid is None:
-        grid = KGrid.for_steps(steps)
-    state = propagate(coins, d, c, steps, grid)
-    xs, probs = position_distribution(state, grid, steps)
-    return float(xs @ probs)
+    return float(capital_series(coins, d, c, steps, grid).expected_capital[-1])

@@ -145,4 +145,4 @@ def average_trajectories(paths: np.ndarray) -> CapitalSeries:
     err = (cap.std(axis=0, ddof=1) / np.sqrt(samples) if samples > 1
            else np.zeros_like(mean_cap))
     return CapitalSeries(np.arange(paths.shape[1]), mean_cap,
-                         paths[:, :, 1].mean(axis=0), stderr=err)
+                         paths[:, :, 1].mean(axis=0), {"stderr": err})

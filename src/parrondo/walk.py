@@ -20,11 +20,12 @@ The array-level helpers accept any number of leading batch axes, with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .gates import CoinSet
-from .series import CapitalSeries
+from .series import CapitalSeries, observe
 
 
 class LatticeOverflowError(RuntimeError):
@@ -179,16 +180,20 @@ def second_moment(state: PureState) -> float:
     return float((xs * xs) @ probs)
 
 
-def run(coins: CoinSet, d: int, c: int, steps: int) -> CapitalSeries:
-    """Capital series over n = 0 .. steps from the basis state (d, c, x=0)."""
+def state_steps(coins: CoinSet, d: int, c: int,
+                steps: int) -> Iterator[PureState]:
+    """Yield the state at n = 0 .. steps from the basis state (d, c, x=0)."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     ops = StepOperators(coins)
     state = init_state(d, c, 0, steps)
-    cap = np.empty(steps + 1)
-    mom = np.empty(steps + 1)
-    cap[0], mom[0] = expected_capital(state), second_moment(state)
-    for n in range(1, steps + 1):
+    yield state
+    for _ in range(steps):
         state = step(state, ops)
-        cap[n], mom[n] = expected_capital(state), second_moment(state)
-    return CapitalSeries(np.arange(steps + 1), cap, mom)
+        yield state
+
+
+def run(coins: CoinSet, d: int, c: int, steps: int) -> CapitalSeries:
+    """Capital series over n = 0 .. steps from the basis state (d, c, x=0)."""
+    return observe(position_distribution(state)
+                   for state in state_steps(coins, d, c, steps))

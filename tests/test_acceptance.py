@@ -192,7 +192,7 @@ def test_measured_ensemble_reduces_to_the_density_map():
         series = measured.average_trajectories(
             measured.ensemble_paths(COINS, 0, c0, steps, samples))
         gap = np.abs(series.expected_capital - np.array(exact))
-        assert np.all(gap <= 4 * series.stderr)
+        assert np.all(gap <= 4 * series.extra["stderr"])
     assert time.perf_counter() - t0 < 60.0
 
 

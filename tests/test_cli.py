@@ -4,7 +4,6 @@ import pytest
 from parrondo import classical
 from parrondo.cli import (
     RunConfig,
-    emit_plot_data,
     main,
     parse_config,
     route_discrepancy,
@@ -200,6 +199,25 @@ def test_kspace_run_reports_the_discrepancy(tmp_path, capsys):
     assert disc < 1e-8
 
 
+def test_kspace_csv_extends_the_quantum_csv(tmp_path, capsys):
+    # same epsilon, preparation and steps: the direct columns are the
+    # quantum game's bytes, the kspace pair comes after them
+    argv = ["--steps", "20", "--epsilon", "0.03", "--initial-d", "1",
+            "--initial-c", "0"]
+    q, k = tmp_path / "q.csv", tmp_path / "k.csv"
+    assert main(["--game", "quantum", "--out", str(q)] + argv) == 0
+    assert main(["--game", "kspace", "--out", str(k)] + argv) == 0
+    capsys.readouterr()
+    q_lines = q.read_text(encoding="utf-8").splitlines()
+    k_lines = k.read_text(encoding="utf-8").splitlines()
+    assert k_lines[0] == ("n,expected_capital,second_moment,"
+                          "expected_capital_kspace,second_moment_kspace")
+    assert len(k_lines) == len(q_lines) == 22
+    for q_row, k_row in zip(q_lines[1:], k_lines[1:]):
+        assert k_row.split(",")[:3] == q_row.split(",")
+        assert len(k_row.split(",")) == 5
+
+
 def test_route_discrepancy_scales_the_second_moment():
     # a 1e-14 relative gap on a second moment near 1e8 is 1e-6 absolute,
     # far above ATOL_CROSS, yet the routes agree
@@ -240,6 +258,18 @@ def test_unwritable_output_exits_nonzero(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_classical_config_without_a_schedule_plays_the_fair_mixture(
+        tmp_path):
+    # the dataclass default is the CLI's default schedule
+    lib, cli = tmp_path / "lib.csv", tmp_path / "cli.csv"
+    cfg = RunConfig(game="classical", steps=2, epsilon=0.01, out=str(lib))
+    assert cfg.schedule == classical.RandomMixture(0.5)
+    assert run(cfg) == 0
+    assert main(["--game", "classical", "--steps", "2",
+                 "--out", str(cli)]) == 0
+    assert lib.read_bytes() == cli.read_bytes()
+
+
 def test_coin_overrides_change_the_run(tmp_path):
     base = tmp_path / "base.csv"
     flat = tmp_path / "flat.csv"
@@ -255,43 +285,3 @@ def test_coin_overrides_change_the_run(tmp_path):
     assert main(["--game", "quantum", "--steps", "4",
                  "--config", str(cfg_file), "--out", str(flat)]) == 0
     assert base.read_bytes() != flat.read_bytes()
-
-
-# --- plot data -------------------------------------------------------------------------
-
-def _series(values):
-    values = np.asarray(values, dtype=float)
-    return CapitalSeries(np.arange(len(values)), values, values ** 2)
-
-
-def test_plot_data_has_one_column_per_series():
-    text = emit_plot_data(_series([0.0, 0.5]), _series([0.0, -0.5]),
-                          labels=["up", "down"])
-    lines = text.splitlines()
-    assert lines[0] == "# n up down"
-    assert len(lines) == 3
-    assert len(lines[1].split()) == 3
-    assert float(lines[2].split()[1]) == 0.5
-
-
-def test_plot_data_defaults_label_names():
-    text = emit_plot_data(_series([0.0, 1.0]))
-    assert text.splitlines()[0] == "# n series1"
-
-
-def test_plot_data_rejects_mismatched_series():
-    with pytest.raises(ValueError):
-        emit_plot_data(_series([0.0, 1.0]), _series([0.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        emit_plot_data(_series([0.0]), labels=["a", "b"])
-
-
-def test_plot_data_empty_input_is_header_only():
-    assert emit_plot_data() == "# n\n"
-
-
-def test_plot_data_round_trips_values():
-    src = _series([0.0, 0.25, -0.75])
-    text = emit_plot_data(src, labels=["c"])
-    got = [float(line.split()[1]) for line in text.splitlines()[1:]]
-    np.testing.assert_array_equal(got, src.expected_capital)

@@ -6,6 +6,7 @@ from parrondo.kspace import (
     KGrid,
     KSpaceState,
     build_block_matrix,
+    capital_series,
     capital_via_kspace,
     propagate,
     propagate_steps,
@@ -159,6 +160,19 @@ def test_momentum_capital_matches_direct_value():
     assert capital_via_kspace(COINS, 0, 0, 0) == 0.0
     expect = run(COINS, 0, 0, 5).expected_capital[5]
     assert abs(capital_via_kspace(COINS, 0, 0, 5) - expect) < 1e-10
+
+
+@pytest.mark.parametrize("d,c", [(0, 1), (1, 0)])
+def test_momentum_series_matches_direct_series(d, c):
+    direct = run(COINS, d, c, 12)
+    for grid in (None, KGrid(41)):
+        series = capital_series(COINS, d, c, 12, grid)
+        np.testing.assert_array_equal(series.ns, direct.ns)
+        np.testing.assert_allclose(series.expected_capital,
+                                   direct.expected_capital, atol=1e-10)
+        np.testing.assert_allclose(series.second_moment,
+                                   direct.second_moment, atol=1e-10)
+        assert series.extra == {}
 
 
 def test_reconstruction_rejects_aliased_capitals():

@@ -299,7 +299,7 @@ def test_single_sample_average_equals_the_run():
     series = average_trajectories(ensemble_paths(COINS, 0, 0, 15, 1, 42))
     np.testing.assert_array_equal(series.expected_capital, path[:, 0])
     np.testing.assert_array_equal(series.second_moment, path[:, 1])
-    np.testing.assert_array_equal(series.stderr, np.zeros(16))
+    np.testing.assert_array_equal(series.extra["stderr"], np.zeros(16))
 
 
 def test_average_uses_consecutive_seeds_and_exact_error():
@@ -314,8 +314,8 @@ def test_average_uses_consecutive_seeds_and_exact_error():
     assert series.expected_capital[1] == pytest.approx(1.0)
     assert series.second_moment[1] == pytest.approx(5 / 3)
     # sample sd of (0, 1, 2) is 1, so the error is 1/sqrt(3)
-    assert series.stderr[1] == pytest.approx(1 / np.sqrt(3))
-    assert series.stderr[0] == 0.0
+    assert series.extra["stderr"][1] == pytest.approx(1 / np.sqrt(3))
+    assert series.extra["stderr"][0] == 0.0
 
 
 def test_average_rejects_empty_ensembles():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parrondo.series import CapitalSeries, format_float
+from parrondo.series import CapitalSeries, format_float, observe
 
 
 def test_format_float_is_16_significant_digits():
@@ -17,7 +17,8 @@ def test_format_float_round_trips():
 
 def _series(stderr=None):
     return CapitalSeries(np.arange(4), np.array([0.0, 1.0, 0.5, -0.5]),
-                         np.array([0.0, 1.0, 2.0, 3.0]), stderr=stderr)
+                         np.array([0.0, 1.0, 2.0, 3.0]),
+                         {} if stderr is None else {"stderr": stderr})
 
 
 def test_series_length_and_readonly():
@@ -32,7 +33,10 @@ def test_series_rejects_mismatched_columns():
         CapitalSeries(np.arange(3), np.zeros(4), np.zeros(3))
     with pytest.raises(ValueError):
         CapitalSeries(np.arange(3), np.zeros(3), np.zeros(3),
-                      stderr=np.zeros(2))
+                      extra={"stderr": np.zeros(2)})
+    with pytest.raises(ValueError):
+        CapitalSeries(np.arange(3), np.zeros(3), np.zeros(3),
+                      extra={"stderr": np.zeros(3), "other": np.zeros(2)})
 
 
 def test_series_rejects_bad_step_column():
@@ -66,6 +70,34 @@ def test_write_csv_stderr_column(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "n,expected_capital,second_moment,stderr"
     assert lines[2].split(",")[3] == format_float(0.1)
+
+
+def test_write_csv_extra_columns_in_order(tmp_path):
+    path = tmp_path / "out.csv"
+    s = CapitalSeries(np.arange(2), np.array([0.0, 1.0]), np.zeros(2),
+                      {"z": np.array([5.0, 6.0]), "a": np.array([7.0, 8.0])})
+    s.write_csv(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "n,expected_capital,second_moment,z,a"
+    assert lines[2].split(",")[3:] == [format_float(6.0), format_float(8.0)]
+    with pytest.raises(ValueError):
+        s.extra["z"][0] = 9.0
+
+
+def test_observe_reads_both_moments_per_distribution():
+    dists = [(np.array([0]), np.array([1.0])),
+             (np.array([-1, 0, 1]), np.array([0.25, 0.0, 0.75])),
+             (np.array([-2, 0, 2]), np.array([0.5, 0.25, 0.25]))]
+    s = observe(dists)
+    np.testing.assert_array_equal(s.ns, [0, 1, 2])
+    np.testing.assert_array_equal(s.expected_capital, [0.0, 0.5, -0.5])
+    np.testing.assert_array_equal(s.second_moment, [0.0, 1.0, 3.0])
+    assert s.extra == {}
+
+
+def test_observe_needs_at_least_one_distribution():
+    with pytest.raises(ValueError):
+        observe([])
 
 
 def test_write_csv_round_trip(tmp_path):

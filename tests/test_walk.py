@@ -15,6 +15,7 @@ from parrondo.walk import (
     position_distribution,
     run,
     second_moment,
+    state_steps,
     step,
     w_matrix,
 )
@@ -94,6 +95,17 @@ def test_running_past_the_budget_raises():
     state = step(step(state, COINS), COINS)
     with pytest.raises(LatticeOverflowError):
         step(state, COINS)
+
+
+def test_state_steps_yields_every_step_and_run_reads_them():
+    states = list(state_steps(COINS, 0, 1, 5))
+    assert [s.step for s in states] == list(range(6))
+    series = run(COINS, 0, 1, 5)
+    for n, state in enumerate(states):
+        assert series.expected_capital[n] == expected_capital(state)
+        assert series.second_moment[n] == second_moment(state)
+    with pytest.raises(ValueError):
+        next(state_steps(COINS, 0, 0, -1))
 
 
 # --- the strategy-and-coin block -------------------------------------------------
